@@ -193,12 +193,15 @@ BENCHMARK(BM_SortGroupAuto)
 //
 // N producer threads hammer one MultiLogStore with random-destination
 // appends — the engine's scatter hot path. BM_ScatterAppendLocked is the
-// per-record interval-locked path; BM_ScatterAppendStaged batches through
-// per-thread staging buffers of the given depth, taking each interval lock
-// once per flushed chunk. The sweep crosses thread count × interval count ×
-// staging depth; at high contention (8 threads, 64 intervals) staged must
-// beat locked by well over 2x. Manual std::threads, so wall time is the
-// meaningful clock (UseRealTime).
+// per-record interval-locked path; BM_ScatterAppendStaged stages each
+// thread's records in its own MultiLogStore::Staging and publishes them at
+// the end, taking each interval lock once per thread. The sweep crosses
+// thread count × interval count × a staging argument that is only an
+// on switch now (stagings size themselves, so its 1/16/64 rows run the
+// same path; the names are kept for bench/baselines/scatter.json); at high
+// contention (8 threads, 64 intervals) staged must beat locked by well
+// over 2x. Manual std::threads, so wall time is the meaningful clock
+// (UseRealTime).
 void scatter_append_bench(benchmark::State& state, std::int64_t depth) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const auto n_intervals = static_cast<VertexId>(state.range(1));

@@ -89,6 +89,8 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
   write_escaped(out, stats.direction);
   out << ",\"direction_fallback\":";
   write_escaped(out, stats.direction_fallback);
+  out << ",\"produce_order_fixed\":"
+      << (stats.produce_order_fixed ? "true" : "false");
   if (stats.has_values_hash) {
     // Hex string: 64-bit values do not survive JSON number parsers.
     out << ",\"values_hash\":\"0x" << std::hex << stats.values_hash
@@ -115,6 +117,8 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
       << ",\"groups_comparison\":" << stats.groups_comparison()
       << ",\"scatter_flush_count\":" << stats.scatter_flush_count()
       << ",\"scatter_stall_seconds\":" << stats.scatter_stall_seconds()
+      << ",\"scatter_staging_peak_bytes\":"
+      << stats.scatter_staging_peak_bytes()
       << ",\"io_wait_seconds\":" << stats.io_wait_seconds()
       << ",\"io_retries\":" << stats.io_retries()
       << ",\"io_giveups\":" << stats.io_giveups()
@@ -154,6 +158,7 @@ void write_json(const core::RunStats& stats, std::ostream& out) {
         << ",\"groups_comparison\":" << s.groups_comparison
         << ",\"scatter_flush_count\":" << s.scatter_flush_count
         << ",\"scatter_stall_seconds\":" << s.scatter_stall_seconds
+        << ",\"scatter_staging_peak_bytes\":" << s.scatter_staging_peak_bytes
         << ",\"io_wall_seconds\":" << s.io_wall_seconds
         << ",\"total_wall_seconds\":" << s.total_wall_seconds
         << ",\"torn_bytes_dropped\":" << s.torn_bytes_dropped

@@ -91,7 +91,8 @@ std::size_t checked_record_count(std::span<const std::byte> bytes,
 template <typename Message>
 std::vector<Record<Message>> decode_records(std::span<const std::byte> bytes) {
   std::vector<Record<Message>> out(checked_record_count<Message>(bytes));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  // An empty span may carry a null data(), which memcpy must not be given.
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   return out;
 }
 

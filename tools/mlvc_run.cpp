@@ -38,7 +38,7 @@ struct RunConfig {
   std::size_t page_size;
   unsigned channels;
   std::string json_path;  // empty = no JSON dump
-  unsigned staging;       // produce-path staging depth (mlvc engine)
+  unsigned staging;       // produce-path staging, 0 = locked (mlvc engine)
   std::size_t adj_cache;  // adjacency page-cache bytes (mlvc engine)
   ssd::IoBackendKind io_backend;  // hot-path I/O substrate (mlvc engine)
   unsigned io_depth;              // io_uring ring size
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       .option("seed", "random seed", "1")
       .option("page-size", "modeled SSD page size", "16K")
       .option("channels", "modeled SSD channels", "8")
-      .option("staging", "produce-path staging depth in records, 0 = locked",
+      .option("staging", "produce-path staging: nonzero = staged, 0 = locked",
               "64")
       .option("adj-cache", "adjacency page-cache bytes, 0 = off", "0")
       .option("io-backend", "threadpool | uring (falls back if unsupported)",
